@@ -77,15 +77,15 @@ sweepMem(const char *title, const char *axis,
          const std::vector<std::string> &points,
          const std::function<mem::MemConfig(size_t)> &make)
 {
-    // matrixMemMajor puts the memory axis outermost, so one matrix
-    // (and one thread-pool dispatch) produces the same point-major
-    // result layout render() expects.
-    std::vector<mem::MemConfig> mems;
-    for (size_t i = 0; i < points.size(); ++i)
-        mems.push_back(make(i));
-    auto jobs = SweepEngine::matrixMemMajor(
-        {MachineConfig::dkip2048()}, kBenches, mems,
-        RunConfig::sweep());
+    // One matrix per memory point, appended, keeps the point-major
+    // result layout render() expects in a single pool dispatch.
+    std::vector<SweepJob> jobs;
+    for (size_t i = 0; i < points.size(); ++i) {
+        auto point = SweepEngine::matrix({MachineConfig::dkip2048()},
+                                         kBenches, {make(i)},
+                                         RunConfig::sweep());
+        jobs.insert(jobs.end(), point.begin(), point.end());
+    }
     render(title, axis, points, engine().run(jobs));
 }
 

@@ -41,7 +41,7 @@ main()
 
     Histogram combined(25, 80); // 25-cycle buckets to 2000
     for (const auto &r : results) {
-        const auto &h = r.stats.issueLatency;
+        const Histogram &h = *r.snapshot.histogram("issue_latency");
         for (size_t b = 0; b < h.numBuckets(); ++b) {
             for (uint64_t n = 0; n < h.bucketCount(b); ++n)
                 combined.sample(b * h.bucketWidth());

@@ -48,10 +48,10 @@ main()
                      "regs/instrs"});
         for (size_t bi = 0; bi < suite.second.size(); ++bi) {
             const RunResult &res = results[bi];
-            uint64_t insts = fp_side ? res.stats.maxLlibInstrsFp
-                                     : res.stats.maxLlibInstrsInt;
-            uint64_t regs = fp_side ? res.stats.maxLlibRegsFp
-                                    : res.stats.maxLlibRegsInt;
+            auto insts = uint64_t(res.snapshot.value(
+                fp_side ? "max_llib_instrs_fp" : "max_llib_instrs_int"));
+            auto regs = uint64_t(res.snapshot.value(
+                fp_side ? "max_llib_regs_fp" : "max_llib_regs_int"));
             table.addRow({suite.second[bi], std::to_string(insts),
                           std::to_string(regs),
                           insts ? sim::Table::num(double(regs) /

@@ -310,11 +310,11 @@ void
 BM_SweepEngineSuite(benchmark::State &state)
 {
     sim::SweepEngine engine(unsigned(state.range(0)));
-    auto suite = sim::fpSuite();
+    auto jobs = sim::SweepEngine::matrix(
+        {sim::MachineConfig::dkip2048()}, sim::fpSuite(),
+        {mem::MemConfig::mem400()}, sim::RunConfig::sweep());
     for (auto _ : state) {
-        auto results = engine.runSuite(
-            sim::MachineConfig::dkip2048(), suite,
-            mem::MemConfig::mem400(), sim::RunConfig::sweep());
+        auto results = engine.run(jobs);
         benchmark::DoNotOptimize(results.front().ipc);
     }
 }

@@ -22,7 +22,7 @@ namespace
 {
 
 void
-runSuiteTable(const char *title,
+printSuiteTable(const char *title,
               const std::vector<std::string> &suite,
               const std::vector<sim::MachineConfig> &machines,
               const sim::RunConfig &rc)
@@ -41,7 +41,7 @@ runSuiteTable(const char *title,
             sums[m] += res.ipc;
             row.push_back(sim::Table::num(res.ipc));
             if (machines[m].kind == sim::MachineKind::Dkip)
-                mp_frac = res.stats.mpFraction();
+                mp_frac = res.snapshot.value("mp_fraction");
         }
         mp_sum += mp_frac;
         row.push_back(sim::Table::num(100.0 * mp_frac, 1));
@@ -75,7 +75,7 @@ main(int argc, char **argv)
         sim::MachineConfig::dkip2048(),
     };
 
-    runSuiteTable("SpecINT-like suite", sim::intSuite(), machines, rc);
-    runSuiteTable("SpecFP-like suite", sim::fpSuite(), machines, rc);
+    printSuiteTable("SpecINT-like suite", sim::intSuite(), machines, rc);
+    printSuiteTable("SpecFP-like suite", sim::fpSuite(), machines, rc);
     return 0;
 }

@@ -8,6 +8,7 @@
  *     ./execution_locality [benchmark]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -27,7 +28,7 @@ main(int argc, char **argv)
     auto limit = sim::Simulator::run(
         sim::MachineConfig::windowLimit(8192), bench,
         mem::MemConfig::mem400(), rc);
-    const auto &h = limit.stats.issueLatency;
+    const Histogram &h = *limit.snapshot.histogram("issue_latency");
     std::printf("== %s on an unlimited window, MEM-400 ==\n",
                 bench.c_str());
     std::printf("mean decode->issue distance : %.1f cycles\n",
@@ -45,26 +46,26 @@ main(int argc, char **argv)
     auto dkip = sim::Simulator::run(sim::MachineConfig::dkip2048(),
                                     bench, mem::MemConfig::mem400(),
                                     rc);
-    const auto &s = dkip.stats;
+    const auto &s = dkip.snapshot;
     std::printf("\n== the D-KIP's view of the same stream ==\n");
     std::printf("IPC                          : %.2f\n", dkip.ipc);
     std::printf("executed in Cache Processor  : %5.1f%%\n",
-                100.0 * (1.0 - s.mpFraction()));
+                100.0 * (1.0 - s.value("mp_fraction")));
     std::printf("executed in memory domain    : %5.1f%%  "
                 "(LLIB->MP and Address Processor)\n",
-                100.0 * s.mpFraction());
+                100.0 * s.value("mp_fraction"));
     std::printf("LLIB insertions (int/fp)     : %lu / %lu\n",
-                (unsigned long)s.llibInsertedInt,
-                (unsigned long)s.llibInsertedFp);
+                (unsigned long)s.value("llib_inserted_int"),
+                (unsigned long)s.value("llib_inserted_fp"));
     std::printf("LLIB high-water (instrs/regs): %lu / %lu\n",
-                (unsigned long)std::max(s.maxLlibInstrsInt,
-                                        s.maxLlibInstrsFp),
-                (unsigned long)std::max(s.maxLlibRegsInt,
-                                        s.maxLlibRegsFp));
+                (unsigned long)std::max(s.value("max_llib_instrs_int"),
+                                        s.value("max_llib_instrs_fp")),
+                (unsigned long)std::max(s.value("max_llib_regs_int"),
+                                        s.value("max_llib_regs_fp")));
     std::printf("analyze stall cycles         : %lu (%.2f%% of %lu)\n",
-                (unsigned long)s.analyzeStallCycles,
-                100.0 * double(s.analyzeStallCycles) /
-                    double(s.cycles),
-                (unsigned long)s.cycles);
+                (unsigned long)s.value("analyze_stall_cycles"),
+                100.0 * s.value("analyze_stall_cycles") /
+                    s.value("cycles"),
+                (unsigned long)s.value("cycles"));
     return 0;
 }

@@ -61,19 +61,19 @@ main(int argc, char **argv)
     while (!session.finished())
         session.step(50000);
     auto res = session.finish();
-    const auto &s = res.stats;
+    const auto &s = res.snapshot;
+    const Histogram &lat = *s.histogram("issue_latency");
 
     std::printf("run        : %s on %s, %s%s\n", bench.c_str(),
                 machine.c_str(), memname.c_str(),
                 res.aborted ? "  [ABORTED]" : "");
     std::printf("IPC        : %.3f (%lu insts / %lu cycles)\n",
-                res.ipc, (unsigned long)s.committed,
-                (unsigned long)s.cycles);
+                res.ipc, (unsigned long)s.value("committed"),
+                (unsigned long)s.value("cycles"));
     std::printf("issue lat  : mean %.1f cycles, %%<100: %.1f  "
                 "%%<300: %.1f\n",
-                s.issueLatency.mean(),
-                100.0 * s.issueLatency.fractionBelow(100),
-                100.0 * s.issueLatency.fractionBelow(300));
+                lat.mean(), 100.0 * lat.fractionBelow(100),
+                100.0 * lat.fractionBelow(300));
 
     // Everything else comes straight from the registry snapshot: each
     // stat prints itself, so a counter added anywhere in the model

@@ -25,13 +25,14 @@ namespace
 void
 report(const sim::RunResult &r)
 {
-    const auto &s = r.stats;
+    const auto &s = r.snapshot;
     std::printf("%-10s %-8s  IPC %5.2f  cycles %9lu  "
                 "bp-acc %5.1f%%  L2-miss %4.1f%%  MP-frac %4.1f%%\n",
                 r.machine.c_str(), r.workload.c_str(), r.ipc,
-                (unsigned long)s.cycles,
-                100.0 * (1.0 - s.mispredictRate()),
-                100.0 * r.l2MissRatio, 100.0 * s.mpFraction());
+                (unsigned long)s.value("cycles"),
+                100.0 * (1.0 - s.value("mispredict_rate")),
+                100.0 * s.value("l2_miss_ratio"),
+                100.0 * s.value("mp_fraction"));
 }
 
 } // anonymous namespace

@@ -171,6 +171,9 @@ runSampled(const sim::MachineConfig &machine, wload::Workload &workload,
     // Phase 4: reconstruct the whole-run snapshot. Additive stats
     // (counters, histogram sample counts) become weighted sums of
     // the per-interval rates; gauges become weight-averaged values.
+    // Only counts are estimated: a histogram entry keeps no
+    // distribution, since one representative's buckets do not stand
+    // for the whole run.
     obs::Profiler::Scope phase(profiler, "reconstruct");
     KILO_ASSERT(!reps.empty(), "sampled run selected no intervals");
     double total_weight = 0.0;
@@ -187,6 +190,7 @@ runSampled(const sim::MachineConfig &machine, wload::Workload &workload,
     stats::Snapshot est = reps[order[0]].snap;  // layout template
     for (size_t e = 0; e < est.entries.size(); ++e) {
         stats::Snapshot::Entry &entry = est.entries[e];
+        entry.hist.reset();
         double acc = 0.0;
         for (const RepMeasure &m : reps) {
             const stats::Value &v = m.snap.entries[e].value;
@@ -242,10 +246,6 @@ runSampled(const sim::MachineConfig &machine, wload::Workload &workload,
     res.ipc = ipc;
     res.aborted = false;
     res.snapshot = std::move(est);
-    res.stats.committed =
-        uint64_t(std::llround(std::max(est_committed, 0.0)));
-    res.stats.cycles =
-        uint64_t(std::llround(std::max(est_cycles, 0.0)));
     return out;
 }
 

@@ -339,7 +339,6 @@ Session::finish()
     RunResult res;
     res.machine = machineName;
     res.workload = wl->name();
-    res.stats = core_->stats();
     res.ipc = core_->stats().ipc();
     res.aborted = aborted_;
     res.snapshot = core_->statsRegistry().snapshot();
@@ -348,19 +347,6 @@ Session::finish()
     res.audit = std::move(audit_);
     audit_.clear();
     res.auditRolling = auditRolling_;
-
-    // Deprecated flat fields (see the MIGRATION note in README.md).
-    const mem::MemoryHierarchy &m = core_->memory();
-    res.memAccesses = m.accesses();
-    res.l2Misses = m.l2Misses();
-    res.l2MissRatio = m.l2MissRatio();
-    res.memFills = m.memFills();
-    res.mshrMerges = m.mshrMerges();
-    res.mshrPeak = m.mshrPeakOccupancy();
-    const Histogram &set_occ = m.mshrSetOccupancy();
-    res.mshrSetP50 = uint32_t(set_occ.percentile(0.50));
-    res.mshrSetP99 = uint32_t(set_occ.percentile(0.99));
-    res.mshrSetMax = uint32_t(set_occ.maxSample());
     return res;
 }
 

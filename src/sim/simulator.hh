@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/core_stats.hh"
 #include "src/core/pipeline_base.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/obs/audit.hh"
@@ -146,22 +145,20 @@ struct RunConfig
 /**
  * Outcome of one run.
  *
- * The authoritative payload is `snapshot` — the self-describing
- * stats::Registry snapshot every component contributed to; JSONL rows
- * are generated from it generically. The flat convenience fields
- * below (ipc, memAccesses, ...) are populated for source
- * compatibility but deprecated for new code; see the MIGRATION note
- * in README.md.
+ * The payload is `snapshot` — the self-describing stats::Registry
+ * snapshot every component contributed to. Read any statistic by its
+ * registered name (`snapshot.value("cycles")`, or
+ * `snapshot.histogram("issue_latency")` for a distribution); JSONL
+ * rows are generated from it generically.
  */
 struct RunResult
 {
     std::string machine;
     std::string workload;
     double ipc = 0.0;
-    core::CoreStats stats;
 
     /** True when RunConfig::maxCycles expired before measureInsts
-     *  committed; the stats cover the truncated region. */
+     *  committed; the snapshot covers the truncated region. */
     bool aborted = false;
 
     /** Every registered stat at the end of the run. */
@@ -178,23 +175,6 @@ struct RunResult
      *  plane is off) — the one-word determinism witness a sharded
      *  worker ships back instead of the whole stream. */
     uint64_t auditRolling = obs::AuditBasis;
-
-    /** Deprecated flat memory-side fields (use snapshot). @{ */
-    uint64_t memAccesses = 0;
-    uint64_t l2Misses = 0;
-    double l2MissRatio = 0.0;
-    uint64_t memFills = 0;    ///< off-chip line fills started
-    uint64_t mshrMerges = 0;  ///< accesses merged into in-flight fills
-    uint32_t mshrPeak = 0;    ///< peak MSHR occupancy (measured region)
-
-    /** Per-set MSHR occupancy at fill allocation (MLP clustering):
-     *  median, 99th percentile and maximum of the live ways in the
-     *  allocating set. @{ */
-    uint32_t mshrSetP50 = 0;
-    uint32_t mshrSetP99 = 0;
-    uint32_t mshrSetMax = 0;
-    /** @} */
-    /** @} */
 };
 
 /**

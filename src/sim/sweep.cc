@@ -1,6 +1,5 @@
 #include "src/sim/sweep.hh"
 
-#include "src/sim/sweep_engine.hh"
 #include "src/wload/profile.hh"
 
 namespace kilo::sim
@@ -24,19 +23,6 @@ fpSuite()
     return names;
 }
 
-std::vector<RunResult>
-runSuite(const MachineConfig &machine,
-         const std::vector<std::string> &suite,
-         const mem::MemConfig &mem_config, const RunConfig &run_config)
-{
-    // Fan out over the default thread pool (KILO_SWEEP_THREADS or
-    // hardware concurrency); runs are isolated, so the results are
-    // bit-identical to the old serial loop and come back in suite
-    // order.
-    SweepEngine engine;
-    return engine.runSuite(machine, suite, mem_config, run_config);
-}
-
 double
 meanIpc(const std::vector<RunResult> &results)
 {
@@ -55,7 +41,7 @@ meanMpFraction(const std::vector<RunResult> &results)
         return 0.0;
     double sum = 0.0;
     for (const auto &r : results)
-        sum += r.stats.mpFraction();
+        sum += r.snapshot.value("mp_fraction");
     return sum / double(results.size());
 }
 

@@ -3,8 +3,12 @@
  * Suite-level sweep helpers.
  *
  * The paper reports arithmetic-mean IPC over the SpecINT and SpecFP
- * suites; these helpers run a machine over a whole suite and reduce
- * the results the same way.
+ * suites; these helpers name the suites and reduce the results the
+ * same way. Run a suite as a SweepEngine matrix:
+ *
+ *     auto results = SweepEngine().run(SweepEngine::matrix(
+ *         {machine}, fpSuite(), {mem::MemConfig::mem400()}, rc));
+ *     double ipc = meanIpc(results);
  */
 
 #pragma once
@@ -22,19 +26,6 @@ std::vector<std::string> intSuite();
 
 /** Names of the SpecFP-like suite, Figure 14 order. */
 std::vector<std::string> fpSuite();
-
-/**
- * Run @p machine over every workload in @p suite.
- *
- * Dispatches over the default SweepEngine thread pool (see
- * src/sim/sweep_engine.hh); per-run state is fully isolated, so the
- * results are bit-identical to a serial loop and arrive in suite
- * order. Set KILO_SWEEP_THREADS=1 to force serial execution.
- */
-std::vector<RunResult> runSuite(const MachineConfig &machine,
-                                const std::vector<std::string> &suite,
-                                const mem::MemConfig &mem_config,
-                                const RunConfig &run_config);
 
 /** Arithmetic mean of IPC over @p results (the paper's reduction). */
 double meanIpc(const std::vector<RunResult> &results);

@@ -122,23 +122,6 @@ SweepEngine::matrix(const std::vector<MachineConfig> &machines,
 }
 
 std::vector<SweepJob>
-SweepEngine::matrixMemMajor(
-    const std::vector<MachineConfig> &machines,
-    const std::vector<std::string> &workloads,
-    const std::vector<mem::MemConfig> &mems,
-    const RunConfig &run_config)
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(machines.size() * workloads.size() * mems.size());
-    for (const auto &mem : mems)
-        for (const auto &machine : machines)
-            for (const auto &workload : workloads)
-                jobs.push_back(
-                    SweepJob{machine, workload, mem, run_config});
-    return jobs;
-}
-
-std::vector<SweepJob>
 SweepEngine::matrixByName(const std::vector<std::string> &machines,
                           const std::vector<std::string> &workloads,
                           const std::vector<std::string> &mems,
@@ -155,15 +138,6 @@ SweepEngine::matrixByName(const std::vector<std::string> &machines,
     return matrix(machine_cfgs, workloads, mem_cfgs, run_config);
 }
 
-std::vector<RunResult>
-SweepEngine::runSuite(const MachineConfig &machine,
-                      const std::vector<std::string> &suite,
-                      const mem::MemConfig &mem_config,
-                      const RunConfig &run_config) const
-{
-    return run(matrix({machine}, suite, {mem_config}, run_config));
-}
-
 std::string
 runResultJson(const RunResult &r)
 {
@@ -172,27 +146,7 @@ runResultJson(const RunResult &r)
     // schema tools/stats_schema pins (see src/stats/DESIGN.md).
     stats::JsonRowBuilder row;
     row.field("machine", r.machine).field("workload", r.workload);
-    if (!r.snapshot.empty()) {
-        row.rowStats(r.snapshot);
-        return row.str();
-    }
-    // A hand-assembled RunResult (no snapshot) still renders from the
-    // deprecated flat fields so aggregation code stays usable.
-    row.field("ipc", r.ipc)
-        .field("cycles", r.stats.cycles)
-        .field("committed", r.stats.committed)
-        .field("branches", r.stats.branches)
-        .field("mispredict_rate", r.stats.mispredictRate())
-        .field("mp_fraction", r.stats.mpFraction())
-        .field("mem_accesses", r.memAccesses)
-        .field("l2_misses", r.l2Misses)
-        .field("l2_miss_ratio", r.l2MissRatio)
-        .field("mem_fills", r.memFills)
-        .field("mshr_merges", r.mshrMerges)
-        .field("mshr_peak", uint64_t(r.mshrPeak))
-        .field("mshr_set_p50", uint64_t(r.mshrSetP50))
-        .field("mshr_set_p99", uint64_t(r.mshrSetP99))
-        .field("mshr_set_max", uint64_t(r.mshrSetMax));
+    row.rowStats(r.snapshot);
     return row.str();
 }
 

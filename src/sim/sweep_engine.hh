@@ -98,19 +98,6 @@ class SweepEngine
            const RunConfig &run_config);
 
     /**
-     * Memory-major variant of matrix(): the memory axis is the
-     * OUTERMOST loop (then machine, then workload), so results group
-     * by memory point the way ablation studies over hierarchy
-     * parameters read their tables. One call replaces the
-     * one-matrix-per-memory-point loop those studies used to need.
-     */
-    static std::vector<SweepJob>
-    matrixMemMajor(const std::vector<MachineConfig> &machines,
-                   const std::vector<std::string> &workloads,
-                   const std::vector<mem::MemConfig> &mems,
-                   const RunConfig &run_config);
-
-    /**
      * Same matrix from names alone — machines through
      * MachineConfig::byName ("r10-64", "kilo", "dkip", ...), memories
      * through mem::MemConfig::byName ("mem-400", "l2-11", ...) —
@@ -123,13 +110,6 @@ class SweepEngine
                  const std::vector<std::string> &workloads,
                  const std::vector<std::string> &mems,
                  const RunConfig &run_config);
-
-    /** Convenience: one machine over a suite on one hierarchy. */
-    std::vector<RunResult>
-    runSuite(const MachineConfig &machine,
-             const std::vector<std::string> &suite,
-             const mem::MemConfig &mem_config,
-             const RunConfig &run_config) const;
 
   private:
     unsigned numThreads;

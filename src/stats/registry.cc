@@ -35,6 +35,13 @@ Snapshot::value(std::string_view name) const
     return e ? e->value.asDouble() : 0.0;
 }
 
+const Histogram *
+Snapshot::histogram(std::string_view name) const
+{
+    const Entry *e = find(name);
+    return e ? e->hist.get() : nullptr;
+}
+
 void
 Registry::add(Def def)
 {
@@ -136,6 +143,8 @@ Registry::snapshot() const
         e.kind = def.kind;
         e.inRow = def.inRow;
         e.value = read(def);
+        if (def.kind == Kind::Histogram)
+            e.hist = std::make_shared<const Histogram>(*def.hist);
         snap.entries.push_back(std::move(e));
     }
     return snap;

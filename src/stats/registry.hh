@@ -93,8 +93,10 @@ class Registry
 
     /**
      * Register a histogram. Reset in place on reset() — bucket width
-     * and count are preserved. Snapshots carry its sample count;
-     * derived summaries (percentiles) are registered as gauges.
+     * and count are preserved. Snapshots carry its sample count as
+     * the value plus a copy of the distribution
+     * (Snapshot::histogram); derived summaries (percentiles) are
+     * registered as gauges.
      */
     void histogram(std::string name, std::string description,
                    Histogram *hist);

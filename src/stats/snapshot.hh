@@ -3,18 +3,22 @@
  * Point-in-time values of a run's registered statistics.
  *
  * A Snapshot is a flat, ordered copy of every stat a stats::Registry
- * knows about: name, kind, row membership and current value. It is
- * what RunResult carries instead of hand-maintained fields, what the
- * generic JSONL emitter iterates, and what interval sampling stores
- * once per RunConfig::intervalInsts committed instructions.
+ * knows about: name, kind, row membership and current value, plus a
+ * copy of each histogram's distribution. It is the payload RunResult
+ * carries, what the generic JSONL emitter iterates, and what interval
+ * sampling stores once per RunConfig::intervalInsts committed
+ * instructions.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/util/histogram.hh"
 
 namespace kilo::stats
 {
@@ -74,7 +78,13 @@ struct Snapshot
         std::string name;
         Kind kind = Kind::Counter;
         bool inRow = false;  ///< member of the stable JSONL row schema
-        Value value;
+        Value value;          ///< Kind::Histogram: the sample count
+
+        /** Kind::Histogram: an immutable copy of the distribution,
+         *  shared by copies of the snapshot (out of line, so other
+         *  entries pay one pointer); null for other kinds and for
+         *  sampled estimates. */
+        std::shared_ptr<const Histogram> hist;
     };
 
     std::vector<Entry> entries;
@@ -86,6 +96,10 @@ struct Snapshot
 
     /** Numeric value by name; 0.0 when absent. */
     double value(std::string_view name) const;
+
+    /** Distribution of histogram @p name; nullptr when absent or not
+     *  carried (sampled estimates hold counts only). */
+    const Histogram *histogram(std::string_view name) const;
 };
 
 /**

@@ -18,6 +18,7 @@
 
 using namespace kilo;
 using namespace kilo::dkip;
+using kilo::test::stat;
 
 namespace
 {
@@ -248,22 +249,22 @@ TEST(DkipCore, ClassifiesStreamingFpAsLowLocality)
     auto res = runDkip("swim");
     // The paper: CP executes ~2/3-3/4 of committed instructions on
     // SpecFP; the rest flow through the LLIBs to the MPs.
-    EXPECT_GT(res.stats.mpFraction(), 0.15);
-    EXPECT_LT(res.stats.mpFraction(), 0.55);
-    EXPECT_GT(res.stats.llibInsertedFp, 0u);
+    EXPECT_GT(stat(res, "mp_fraction"), 0.15);
+    EXPECT_LT(stat(res, "mp_fraction"), 0.55);
+    EXPECT_GT(stat(res, "llib_inserted_fp"), 0u);
 }
 
 TEST(DkipCore, CacheResidentCodeStaysInCp)
 {
     auto res = runDkip("sixtrack");
-    EXPECT_LT(res.stats.mpFraction(), 0.02);
+    EXPECT_LT(stat(res, "mp_fraction"), 0.02);
 }
 
 TEST(DkipCore, PerfectMemoryNeverUsesMp)
 {
     auto res = runDkip("swim", mem::MemConfig::l1Only());
-    EXPECT_EQ(res.stats.mpExecuted, 0u);
-    EXPECT_EQ(res.stats.llibInsertedFp, 0u);
+    EXPECT_EQ(stat(res, "mp_executed"), 0u);
+    EXPECT_EQ(stat(res, "llib_inserted_fp"), 0u);
 }
 
 TEST(DkipCore, BeatsSmallBaselineOnStreamingFp)
@@ -278,9 +279,9 @@ TEST(DkipCore, BeatsSmallBaselineOnStreamingFp)
 TEST(DkipCore, LlibOccupancyWithinCapacity)
 {
     auto res = runDkip("swim");
-    EXPECT_LE(res.stats.maxLlibInstrsFp, 2048u);
-    EXPECT_LE(res.stats.maxLlibRegsFp, 2048u);
-    EXPECT_GT(res.stats.maxLlibInstrsFp, 10u);
+    EXPECT_LE(stat(res, "max_llib_instrs_fp"), 2048u);
+    EXPECT_LE(stat(res, "max_llib_regs_fp"), 2048u);
+    EXPECT_GT(stat(res, "max_llib_instrs_fp"), 10u);
 }
 
 TEST(DkipCore, RegistersFewerThanInstructions)
@@ -288,14 +289,16 @@ TEST(DkipCore, RegistersFewerThanInstructions)
     // Figures 13/14: the READY-operand register high-water mark sits
     // below the instruction high-water mark.
     auto res = runDkip("swim");
-    EXPECT_LE(res.stats.maxLlibRegsFp, res.stats.maxLlibInstrsFp);
+    EXPECT_LE(stat(res, "max_llib_regs_fp"),
+              stat(res, "max_llib_instrs_fp"));
 }
 
 TEST(DkipCore, IntAndFpLlibsSeparate)
 {
     auto res = runDkip("swim");
     // FP benchmark: the overwhelming share of inserts are FP-side.
-    EXPECT_GT(res.stats.llibInsertedFp, res.stats.llibInsertedInt);
+    EXPECT_GT(stat(res, "llib_inserted_fp"),
+              stat(res, "llib_inserted_int"));
 }
 
 TEST(DkipCore, NoStructureLargerThan40IssuesOoO)
@@ -313,14 +316,14 @@ TEST(DkipCore, AnalyzeStallsAreRare)
 {
     auto res = runDkip("swim");
     // Paper reports ~0.7% IPC loss from Analyze stalls.
-    EXPECT_LT(double(res.stats.analyzeStallCycles),
-              0.25 * double(res.stats.cycles));
+    EXPECT_LT(stat(res, "analyze_stall_cycles"),
+              0.25 * stat(res, "cycles"));
 }
 
 TEST(DkipCore, ChasePathUsesCheckpoints)
 {
     auto res = runDkip("mcf");
-    EXPECT_GT(res.stats.checkpointsTaken, 0u);
+    EXPECT_GT(stat(res, "checkpoints_taken"), 0u);
 }
 
 TEST(DkipCore, SurvivesEveryIntBenchmark)
@@ -337,8 +340,9 @@ TEST(DkipCore, Deterministic)
 {
     auto a = runDkip("equake");
     auto b = runDkip("equake");
-    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-    EXPECT_EQ(a.stats.llibInsertedFp, b.stats.llibInsertedFp);
+    EXPECT_EQ(stat(a, "cycles"), stat(b, "cycles"));
+    EXPECT_EQ(stat(a, "llib_inserted_fp"),
+              stat(b, "llib_inserted_fp"));
 }
 
 TEST(DkipCore, InOrderCpDegradesPerformance)

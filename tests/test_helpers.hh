@@ -1,20 +1,48 @@
 /**
  * @file
  * Shared test fixtures: a programmable workload that loops over a
- * fixed micro-op vector, plus tiny builders for common scenarios.
+ * fixed micro-op vector, tiny builders for common scenarios, and a
+ * checked by-name read of a run's registered statistics.
  */
 
 #ifndef KILO_TESTS_TEST_HELPERS_HH
 #define KILO_TESTS_TEST_HELPERS_HH
 
+#include <gtest/gtest.h>
+
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/isa/micro_op.hh"
+#include "src/sim/simulator.hh"
 #include "src/wload/workload.hh"
 
 namespace kilo::test
 {
+
+/**
+ * Registered stat @p name of @p snap. Unlike Snapshot::value(), which
+ * reads 0 for an absent name, an unregistered name fails the calling
+ * test, so a misspelt name cannot make an assertion vacuous.
+ */
+inline double
+stat(const stats::Snapshot &snap, std::string_view name)
+{
+    const stats::Snapshot::Entry *e = snap.find(name);
+    if (!e) {
+        ADD_FAILURE() << "stat '" << name << "' is not registered";
+        return 0.0;
+    }
+    return e->value.asDouble();
+}
+
+/** Registered stat @p name of @p result's snapshot. */
+inline double
+stat(const sim::RunResult &result, std::string_view name)
+{
+    return stat(result.snapshot, name);
+}
 
 /** Endless loop over a fixed op sequence (PCs patched per element). */
 class VectorWorkload : public wload::Workload

@@ -10,6 +10,7 @@
 #include "test_helpers.hh"
 
 using namespace kilo;
+using kilo::test::stat;
 
 namespace
 {
@@ -45,15 +46,16 @@ TEST(KiloCore, BeatsSmallBaselineOnStreamingFp)
 TEST(KiloCore, SlowLaneExecutesLowLocalityCode)
 {
     auto res = runKilo("swim");
-    EXPECT_GT(res.stats.mpFraction(), 0.1); // SLIQ-executed share
-    EXPECT_GT(res.stats.llibInsertedFp + res.stats.llibInsertedInt,
+    EXPECT_GT(stat(res, "mp_fraction"), 0.1); // SLIQ-executed share
+    EXPECT_GT(stat(res, "sliq_inserted_fp") +
+                  stat(res, "sliq_inserted_int"),
               0u);
 }
 
 TEST(KiloCore, PerfectMemoryNeverUsesSliq)
 {
     auto res = runKilo("swim", mem::MemConfig::l1Only());
-    EXPECT_EQ(res.stats.mpExecuted, 0u);
+    EXPECT_EQ(stat(res, "mp_executed"), 0u);
 }
 
 TEST(KiloCore, AtLeastMatchesDkipOnPointerChase)
@@ -83,13 +85,13 @@ TEST(KiloCore, Deterministic)
 {
     auto a = runKilo("mgrid");
     auto b = runKilo("mgrid");
-    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
+    EXPECT_EQ(stat(a, "cycles"), stat(b, "cycles"));
 }
 
 TEST(KiloCore, SliqOccupancyBounded)
 {
     auto res = runKilo("swim");
-    EXPECT_LE(res.stats.maxLlibInstrsInt, 1024u);
+    EXPECT_LE(stat(res, "max_sliq_instrs"), 1024u);
 }
 
 TEST(KiloCore, SurvivesEveryFpBenchmark)

@@ -20,19 +20,24 @@
 #include "src/sim/session.hh"
 #include "src/sim/sweep_engine.hh"
 #include "src/stats/json.hh"
+#include "test_helpers.hh"
 
 using namespace kilo;
+using kilo::test::stat;
 
 namespace
 {
 
-/** Sum of every stall-slot counter. */
-uint64_t
-stallSlotSum(const core::CoreStats &st)
+/** Sum of every stall-slot counter of @p res. */
+double
+stallSlotSum(const sim::RunResult &res)
 {
-    uint64_t sum = 0;
-    for (uint64_t v : st.stallSlots)
-        sum += v;
+    double sum = 0.0;
+    for (const char *name :
+         {"stall_frontend", "stall_empty", "stall_mem", "stall_exec",
+          "stall_depend", "stall_issue", "stall_mshr",
+          "stall_decoupled"})
+        sum += stat(res, name);
     return sum;
 }
 
@@ -97,11 +102,10 @@ TEST(Capture, TimelineDoesNotPerturbTiming)
     sim::RunResult obs_run = instrumented.finish();
 
     EXPECT_GT(timeline.size(), 0u);
-    EXPECT_EQ(base.stats.cycles, obs_run.stats.cycles);
-    EXPECT_EQ(base.stats.committed, obs_run.stats.committed);
-    EXPECT_EQ(base.stats.squashed, obs_run.stats.squashed);
-    EXPECT_EQ(stallSlotSum(base.stats),
-              stallSlotSum(obs_run.stats));
+    EXPECT_EQ(stat(base, "cycles"), stat(obs_run, "cycles"));
+    EXPECT_EQ(stat(base, "committed"), stat(obs_run, "committed"));
+    EXPECT_EQ(stat(base, "squashed"), stat(obs_run, "squashed"));
+    EXPECT_EQ(stallSlotSum(base), stallSlotSum(obs_run));
     // The whole JSONL row, not just headline numbers.
     auto row = [](const stats::Snapshot &snap) {
         return stats::JsonRowBuilder().rowStats(snap).str();
@@ -204,10 +208,10 @@ TEST(StallAttribution, SlotsSumToWidthTimesCycles)
 
         uint64_t width =
             uint64_t(session.core().params().commitWidth);
-        EXPECT_EQ(stallSlotSum(res.stats) + res.stats.committed,
-                  width * res.stats.cycles)
+        EXPECT_EQ(stallSlotSum(res) + stat(res, "committed"),
+                  width * stat(res, "cycles"))
             << name;
-        EXPECT_GT(stallSlotSum(res.stats), 0u) << name;
+        EXPECT_GT(stallSlotSum(res), 0u) << name;
     }
 }
 
@@ -221,9 +225,7 @@ TEST(StallAttribution, DecoupledBucketStaysZeroOnOoo)
                          mem::MemConfig::mem400(), rc);
     session.run();
     sim::RunResult res = session.finish();
-    EXPECT_EQ(res.stats.stallSlots[size_t(
-                  core::StallReason::Decoupled)],
-              0u);
+    EXPECT_EQ(stat(res, "stall_decoupled"), 0.0);
 }
 
 // ------------------------------------------------------ heartbeat

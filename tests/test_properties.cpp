@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/sweep.hh"
+#include "src/sim/sweep_engine.hh"
+#include "test_helpers.hh"
 
 using namespace kilo;
 using namespace kilo::sim;
+using kilo::test::stat;
 
 namespace
 {
@@ -21,6 +24,17 @@ tiny()
     rc.warmupInsts = 4000;
     rc.measureInsts = 20000;
     return rc;
+}
+
+/** Mean IPC of @p machine over @p suite (sweep-length runs). */
+double
+suiteIpc(const MachineConfig &machine,
+         const std::vector<std::string> &suite)
+{
+    return meanIpc(SweepEngine().run(
+        SweepEngine::matrix({machine}, suite,
+                            {mem::MemConfig::mem400()},
+                            RunConfig::sweep())));
 }
 
 } // anonymous namespace
@@ -63,16 +77,16 @@ TEST_P(BenchProperty, CommitsExactlyRequested)
 {
     auto res = Simulator::run(MachineConfig::dkip2048(), GetParam(),
                               mem::MemConfig::mem400(), tiny());
-    EXPECT_GE(res.stats.committed, 20000u) << GetParam();
-    EXPECT_LE(res.stats.committed, 20010u) << GetParam();
+    EXPECT_GE(stat(res, "committed"), 20000u) << GetParam();
+    EXPECT_LE(stat(res, "committed"), 20010u) << GetParam();
 }
 
 TEST_P(BenchProperty, LocalityPartitionsCommits)
 {
     auto res = Simulator::run(MachineConfig::dkip2048(), GetParam(),
                               mem::MemConfig::mem400(), tiny());
-    EXPECT_EQ(res.stats.cpExecuted + res.stats.mpExecuted,
-              res.stats.committed)
+    EXPECT_EQ(stat(res, "cp_executed") + stat(res, "mp_executed"),
+              stat(res, "committed"))
         << GetParam();
 }
 
@@ -80,7 +94,8 @@ TEST_P(BenchProperty, MispredictsNeverExceedBranches)
 {
     auto res = Simulator::run(MachineConfig::kilo1024(), GetParam(),
                               mem::MemConfig::mem400(), tiny());
-    EXPECT_LE(res.stats.mispredicts, res.stats.branches) << GetParam();
+    EXPECT_LE(stat(res, "mispredicts"), stat(res, "branches"))
+        << GetParam();
 }
 
 TEST_P(BenchProperty, DeterministicAcrossMachineKinds)
@@ -91,8 +106,8 @@ TEST_P(BenchProperty, DeterministicAcrossMachineKinds)
                             mem::MemConfig::mem400(), tiny());
     auto b = Simulator::run(MachineConfig::dkip2048(), GetParam(),
                             mem::MemConfig::mem400(), tiny());
-    double loads_a = double(a.stats.loads) / double(a.stats.committed);
-    double loads_b = double(b.stats.loads) / double(b.stats.committed);
+    double loads_a = stat(a, "loads") / stat(a, "committed");
+    double loads_b = stat(b, "loads") / stat(b, "committed");
     EXPECT_NEAR(loads_a, loads_b, 0.02) << GetParam();
 }
 
@@ -173,16 +188,10 @@ TEST(PaperHeadline, DecoupledMachinesDominateOnFp)
 {
     // Figure 9's core claim, as a regression gate: on the FP suite
     // the KILO-class machines clearly beat both R10000 baselines.
-    RunConfig rc = RunConfig::sweep();
-    auto mem = mem::MemConfig::mem400();
-    double r64 = meanIpc(runSuite(MachineConfig::r10_64(),
-                                  fpSuite(), mem, rc));
-    double r256 = meanIpc(runSuite(MachineConfig::r10_256(),
-                                   fpSuite(), mem, rc));
-    double kilo = meanIpc(runSuite(MachineConfig::kilo1024(),
-                                   fpSuite(), mem, rc));
-    double dkip = meanIpc(runSuite(MachineConfig::dkip2048(),
-                                   fpSuite(), mem, rc));
+    double r64 = suiteIpc(MachineConfig::r10_64(), fpSuite());
+    double r256 = suiteIpc(MachineConfig::r10_256(), fpSuite());
+    double kilo = suiteIpc(MachineConfig::kilo1024(), fpSuite());
+    double dkip = suiteIpc(MachineConfig::dkip2048(), fpSuite());
 
     EXPECT_GT(r256, r64);
     EXPECT_GT(kilo, 1.3 * r256);
@@ -192,15 +201,9 @@ TEST(PaperHeadline, DecoupledMachinesDominateOnFp)
 
 TEST(PaperHeadline, IntGainsSmallerThanFp)
 {
-    RunConfig rc = RunConfig::sweep();
-    auto mem = mem::MemConfig::mem400();
-    double int_r64 = meanIpc(runSuite(MachineConfig::r10_64(),
-                                      intSuite(), mem, rc));
-    double int_dkip = meanIpc(runSuite(MachineConfig::dkip2048(),
-                                       intSuite(), mem, rc));
-    double fp_r64 = meanIpc(runSuite(MachineConfig::r10_64(),
-                                     fpSuite(), mem, rc));
-    double fp_dkip = meanIpc(runSuite(MachineConfig::dkip2048(),
-                                      fpSuite(), mem, rc));
+    double int_r64 = suiteIpc(MachineConfig::r10_64(), intSuite());
+    double int_dkip = suiteIpc(MachineConfig::dkip2048(), intSuite());
+    double fp_r64 = suiteIpc(MachineConfig::r10_64(), fpSuite());
+    double fp_dkip = suiteIpc(MachineConfig::dkip2048(), fpSuite());
     EXPECT_GT(fp_dkip / fp_r64, int_dkip / int_r64);
 }

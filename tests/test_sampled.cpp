@@ -22,11 +22,14 @@
 #include "src/sample/sampled_run.hh"
 #include "src/sample/signature.hh"
 #include "src/shard/manifest.hh"
+#include "src/sim/sweep.hh"
 #include "src/sim/sweep_engine.hh"
 #include "src/wload/synthetic.hh"
+#include "test_helpers.hh"
 
 using namespace kilo;
 using namespace kilo::sample;
+using kilo::test::stat;
 
 namespace
 {
@@ -235,6 +238,23 @@ TEST(SampledRow, DeterministicAndSchemaMatchesExact)
     // A sampled row carries exactly the schema an exact row does, so
     // downstream JSONL aggregation cannot tell them apart.
     EXPECT_EQ(rowKeys(row1), rowKeys(sim::runResultJson(exact)));
+}
+
+TEST(SampledRow, SuiteReductionsReadTheEstimate)
+{
+    sim::RunConfig rc = sampledConfig();
+    rc.numClusters = 4;
+    sim::RunResult r = sim::Simulator::run(sim::MachineConfig::dkip2048(),
+                                           "swim", mem::MemConfig::mem400(),
+                                           rc);
+    // The Figure 11/12 reduction sees the sampled estimate, not 0.
+    const double mp = stat(r, "mp_fraction");
+    EXPECT_GT(mp, 0.0);
+    EXPECT_EQ(sim::meanMpFraction({r}), mp);
+    // Counts only: one representative's buckets are not the run's
+    // distribution, so a sampled estimate carries none.
+    EXPECT_GT(stat(r, "issue_latency"), 0.0);
+    EXPECT_EQ(r.snapshot.histogram("issue_latency"), nullptr);
 }
 
 TEST(SampledSweep, ShardedMergeMatchesSingleProcess)

@@ -15,9 +15,11 @@
 #include "src/sim/session.hh"
 #include "src/sim/sweep_engine.hh"
 #include "src/wload/synthetic.hh"
+#include "test_helpers.hh"
 
 using namespace kilo;
 using namespace kilo::sim;
+using kilo::test::stat;
 
 namespace
 {
@@ -60,14 +62,10 @@ TEST(Session, StepBitIdenticalToOneShotAllMachines)
         auto stepped = session.finish();
 
         EXPECT_GT(steps, 1u) << machine.name;
-        EXPECT_EQ(stepped.stats.cycles, one_shot.stats.cycles)
-            << machine.name;
-        EXPECT_EQ(stepped.stats.committed, one_shot.stats.committed)
-            << machine.name;
-        EXPECT_EQ(stepped.stats.mispredicts,
-                  one_shot.stats.mispredicts) << machine.name;
-        EXPECT_EQ(stepped.memAccesses, one_shot.memAccesses)
-            << machine.name;
+        for (const char *name :
+             {"cycles", "committed", "mispredicts", "mem_accesses"})
+            EXPECT_EQ(stat(stepped, name), stat(one_shot, name))
+                << machine.name << " " << name;
         // Byte-identical, the strongest form: the whole JSONL row.
         EXPECT_EQ(runResultJson(stepped), runResultJson(one_shot))
             << machine.name;
@@ -91,7 +89,7 @@ TEST(Session, RunForBitIdenticalToOneShot)
         total += session.runFor(3000);
     auto stepped = session.finish();
 
-    EXPECT_EQ(total, stepped.stats.committed);
+    EXPECT_EQ(total, stat(stepped, "committed"));
     EXPECT_EQ(runResultJson(stepped), runResultJson(one_shot));
 }
 
@@ -107,7 +105,7 @@ TEST(Session, FinishedSemantics)
     EXPECT_FALSE(session.aborted());
     auto res = session.finish();
     EXPECT_FALSE(res.aborted);
-    EXPECT_GE(res.stats.committed, shortRun().measureInsts);
+    EXPECT_GE(stat(res, "committed"), shortRun().measureInsts);
     // A finished session steps no further.
     EXPECT_EQ(session.step(1000), 0u);
 }
@@ -125,12 +123,11 @@ TEST(Session, DeadlineAbortTruncatesRun)
     EXPECT_TRUE(session.aborted());
     auto res = session.finish();
     EXPECT_TRUE(res.aborted);
-    EXPECT_LT(res.stats.committed, rc.measureInsts);
-    EXPECT_GE(res.stats.cycles, rc.maxCycles);
+    EXPECT_LT(stat(res, "committed"), rc.measureInsts);
+    EXPECT_GE(stat(res, "cycles"), rc.maxCycles);
     // The truncated region still reports coherent stats.
-    EXPECT_GT(res.stats.committed, 0u);
-    EXPECT_NEAR(res.ipc,
-                double(res.stats.committed) / double(res.stats.cycles),
+    EXPECT_GT(stat(res, "committed"), 0u);
+    EXPECT_NEAR(res.ipc, stat(res, "committed") / stat(res, "cycles"),
                 1e-9);
 }
 
@@ -155,9 +152,9 @@ TEST(Session, DeadlineAbortThroughSimulatorAndSweepEngine)
     auto results = engine.run(jobs);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].aborted);
-    EXPECT_LT(results[0].stats.committed, rc.measureInsts);
+    EXPECT_LT(stat(results[0], "committed"), rc.measureInsts);
     EXPECT_FALSE(results[1].aborted);
-    EXPECT_GE(results[1].stats.committed, rc.measureInsts);
+    EXPECT_GE(stat(results[1], "committed"), rc.measureInsts);
 }
 
 TEST(Session, IntervalSamplingRecordsIpcOverTime)
@@ -182,9 +179,8 @@ TEST(Session, IntervalSamplingRecordsIpcOverTime)
         EXPECT_EQ(iv.deltaCycles, iv.cycles - prev_cycles);
         EXPECT_GT(iv.intervalIpc(), 0.0);
         // The cumulative snapshot matches the boundary position.
-        EXPECT_EQ(uint64_t(iv.snapshot.value("committed")),
-                  iv.committed);
-        EXPECT_EQ(uint64_t(iv.snapshot.value("cycles")), iv.cycles);
+        EXPECT_EQ(stat(iv.snapshot, "committed"), iv.committed);
+        EXPECT_EQ(stat(iv.snapshot, "cycles"), iv.cycles);
         prev_committed = iv.committed;
         prev_cycles = iv.cycles;
         delta_sum += iv.deltaCommitted;
@@ -192,8 +188,8 @@ TEST(Session, IntervalSamplingRecordsIpcOverTime)
     EXPECT_EQ(delta_sum, res.intervals.back().committed);
 
     // The final sample sits at the end of the measured region.
-    EXPECT_EQ(res.intervals.back().committed, res.stats.committed);
-    EXPECT_EQ(res.intervals.back().cycles, res.stats.cycles);
+    EXPECT_EQ(res.intervals.back().committed, stat(res, "committed"));
+    EXPECT_EQ(res.intervals.back().cycles, stat(res, "cycles"));
 }
 
 TEST(Session, IntervalSamplingDoesNotPerturbTiming)
@@ -243,11 +239,10 @@ TEST(Session, SnapshotSamplesMidFlight)
     session.run();
     auto late = session.snapshot();
 
-    EXPECT_GE(early.value("committed"), 4000.0);
-    EXPECT_GT(late.value("committed"), early.value("committed"));
-    EXPECT_GT(late.value("cycles"), early.value("cycles"));
-    EXPECT_EQ(uint64_t(late.value("committed")),
-              session.measuredCommitted());
+    EXPECT_GE(stat(early, "committed"), 4000.0);
+    EXPECT_GT(stat(late, "committed"), stat(early, "committed"));
+    EXPECT_GT(stat(late, "cycles"), stat(early, "cycles"));
+    EXPECT_EQ(stat(late, "committed"), session.measuredCommitted());
 }
 
 TEST(Session, BorrowedWorkloadMatchesByName)
@@ -265,20 +260,29 @@ TEST(Session, BorrowedWorkloadMatchesByName)
     EXPECT_EQ(runResultJson(borrowed), runResultJson(by_name));
 }
 
-TEST(Session, ResultCarriesSnapshotAndLegacyFieldsAgree)
+TEST(Session, ResultSnapshotMatchesTheFinishedCore)
 {
-    auto res = Simulator::run(MachineConfig::dkip2048(), "swim",
-                              mem::MemConfig::mem400(), shortRun());
-    ASSERT_FALSE(res.snapshot.empty());
-    // The deprecated flat fields and the snapshot describe the same
-    // run (the MIGRATION contract).
-    EXPECT_EQ(uint64_t(res.snapshot.value("mem_accesses")),
-              res.memAccesses);
-    EXPECT_EQ(uint64_t(res.snapshot.value("mshr_peak")),
-              uint64_t(res.mshrPeak));
-    EXPECT_DOUBLE_EQ(res.snapshot.value("ipc"), res.ipc);
-    EXPECT_EQ(uint64_t(res.snapshot.value("cycles")),
-              res.stats.cycles);
+    Session session(MachineConfig::dkip2048(), "swim",
+                    mem::MemConfig::mem400(), shortRun());
+    session.run();
+    auto res = session.finish();
+    // The snapshot is the whole result: it describes the same run as
+    // the core and hierarchy it was taken from.
+    const auto &st = session.core().stats();
+    const auto &m = session.core().memory();
+    EXPECT_EQ(stat(res, "ipc"), res.ipc);
+    EXPECT_EQ(stat(res, "cycles"), st.cycles);
+    EXPECT_EQ(stat(res, "mp_fraction"), st.mpFraction());
+    EXPECT_EQ(stat(res, "mem_accesses"), m.accesses());
+    EXPECT_EQ(stat(res, "mshr_peak"), m.mshrPeakOccupancy());
+    // Histograms carry their distribution, not just the count.
+    const Histogram *lat = res.snapshot.histogram("issue_latency");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->samples(), st.issueLatency.samples());
+    EXPECT_EQ(stat(res, "issue_latency"), lat->samples());
+    EXPECT_EQ(lat->mean(), st.issueLatency.mean());
+    EXPECT_EQ(lat->fractionBelow(300),
+              st.issueLatency.fractionBelow(300));
 }
 
 TEST(Session, WallClockDeadlineAborts)
@@ -294,7 +298,7 @@ TEST(Session, WallClockDeadlineAborts)
     auto res = Simulator::run(MachineConfig::r10_64(), "swim",
                               mem::MemConfig::mem400(), rc);
     EXPECT_TRUE(res.aborted);
-    EXPECT_LT(res.stats.committed, rc.measureInsts);
+    EXPECT_LT(stat(res, "committed"), rc.measureInsts);
 }
 
 TEST(Session, WallClockDeadlineOffIsBitIdentical)

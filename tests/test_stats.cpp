@@ -54,6 +54,18 @@ TEST(Registry, CounterGaugeHistogramSnapshot)
     EXPECT_EQ(snap.value("latency"), 2.0); // sample count
     EXPECT_EQ(snap.find("nonexistent"), nullptr);
     EXPECT_EQ(snap.value("nonexistent"), 0.0);
+
+    // A histogram entry carries a copy of its distribution, which
+    // later samples into the live histogram do not reach.
+    const Histogram *copy = snap.histogram("latency");
+    ASSERT_NE(copy, nullptr);
+    hist.sample(75);
+    EXPECT_EQ(copy->samples(), 2u);
+    EXPECT_EQ(copy->bucketCount(0), 1u);
+    EXPECT_EQ(copy->bucketCount(3), 1u);
+    EXPECT_EQ(copy->maxSample(), 31u);
+    EXPECT_EQ(snap.histogram("hits"), nullptr);
+    EXPECT_EQ(snap.histogram("nonexistent"), nullptr);
 }
 
 TEST(Registry, SnapshotPreservesRegistrationOrder)

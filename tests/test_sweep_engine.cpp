@@ -11,9 +11,11 @@
 
 #include "src/sim/sweep.hh"
 #include "src/sim/sweep_engine.hh"
+#include "test_helpers.hh"
 
 using namespace kilo;
 using namespace kilo::sim;
+using kilo::test::stat;
 
 namespace
 {
@@ -87,12 +89,10 @@ TEST(SweepEngine, ParallelBitIdenticalToSerialAllMachines)
         // Bit-identical, not approximately equal.
         EXPECT_EQ(s[i].ipc, p[i].ipc)
             << s[i].machine << "/" << s[i].workload;
-        EXPECT_EQ(s[i].stats.cycles, p[i].stats.cycles)
-            << s[i].machine << "/" << s[i].workload;
-        EXPECT_EQ(s[i].stats.committed, p[i].stats.committed);
-        EXPECT_EQ(s[i].stats.mispredicts, p[i].stats.mispredicts);
-        EXPECT_EQ(s[i].memAccesses, p[i].memAccesses);
-        EXPECT_EQ(s[i].l2Misses, p[i].l2Misses);
+        for (const char *name : {"cycles", "committed", "mispredicts",
+                                 "mem_accesses", "l2_misses"})
+            EXPECT_EQ(stat(s[i], name), stat(p[i], name))
+                << s[i].machine << "/" << s[i].workload << " " << name;
     }
 }
 
@@ -108,45 +108,28 @@ TEST(SweepEngine, RepeatedParallelRunsAreDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].ipc, b[i].ipc);
-        EXPECT_EQ(a[i].stats.cycles, b[i].stats.cycles);
+        EXPECT_EQ(stat(a[i], "cycles"), stat(b[i], "cycles"));
     }
 }
 
-TEST(SweepEngine, RunSuitePreservesSuiteOrder)
+TEST(SweepEngine, RunPreservesSuiteOrder)
 {
     SweepEngine engine(4);
     auto suite = miniSuite();
-    auto results =
-        engine.runSuite(MachineConfig::r10_64(), suite,
-                        mem::MemConfig::mem400(), shortRun());
+    auto results = engine.run(
+        SweepEngine::matrix({MachineConfig::r10_64()}, suite,
+                            {mem::MemConfig::mem400()}, shortRun()));
     ASSERT_EQ(results.size(), suite.size());
     for (size_t i = 0; i < suite.size(); ++i)
         EXPECT_EQ(results[i].workload, suite[i]);
 }
 
-TEST(SweepEngine, RunSuiteMatchesLegacySerialHelper)
-{
-    // sim::runSuite delegates to the engine; pin the equivalence.
-    auto suite = std::vector<std::string>{"mcf", "swim"};
-    auto via_helper =
-        runSuite(MachineConfig::r10_64(), suite,
-                 mem::MemConfig::mem400(), shortRun());
-    SweepEngine serial(1);
-    auto direct = serial.runSuite(MachineConfig::r10_64(), suite,
-                                  mem::MemConfig::mem400(),
-                                  shortRun());
-    ASSERT_EQ(via_helper.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i)
-        EXPECT_EQ(via_helper[i].ipc, direct[i].ipc);
-}
-
 TEST(SweepEngine, JsonRowsAreWellFormedAndOrdered)
 {
     SweepEngine serial(1);
-    auto results = serial.runSuite(MachineConfig::r10_64(),
-                                   {"mcf", "swim"},
-                                   mem::MemConfig::mem400(),
-                                   shortRun());
+    auto results = serial.run(SweepEngine::matrix(
+        {MachineConfig::r10_64()}, {"mcf", "swim"},
+        {mem::MemConfig::mem400()}, shortRun()));
     std::ostringstream os;
     writeJsonRows(os, results);
     std::string text = os.str();

@@ -176,7 +176,7 @@ runShard(const shard::Manifest &manifest, bool heartbeat, bool audit,
                                 std::chrono::milliseconds>(d)
                                 .count());
         };
-        insts_done += results[0].stats.committed;
+        insts_done += uint64_t(results[0].snapshot.value("committed"));
         obs::Heartbeat hb;
         hb.shard = int(manifest.shardIndex);
         hb.jobsDone = k + 1;

@@ -158,7 +158,7 @@ main(int argc, char **argv)
                      "events=%zu dropped=%llu\n",
                      res.machine.c_str(), res.workload.c_str(),
                      mem_name.c_str(),
-                     (unsigned long long)res.stats.committed,
+                     (unsigned long long)res.snapshot.value("committed"),
                      res.ipc, timeline.size(),
                      (unsigned long long)timeline.dropped());
         if (profile)
